@@ -5,8 +5,10 @@
 //! `sw_bench::micro`.
 
 use sw_sched::{
-    run_dual_pool, run_parallel, simulate, DualPoolConfig, ExecutorConfig, MetricsSink, Policy,
+    run_dual_pool_durable, run_parallel, simulate, DualPoolConfig, DurableControl, ExecutorConfig,
+    FaultInjector, MetricsSink, Policy,
 };
+use sw_trace::Tracer;
 
 fn main() {
     sw_bench::micro::section("desim (tasks/s as elem/s)");
@@ -39,9 +41,20 @@ fn main() {
         let cfg = DualPoolConfig::new(cpu_w, accel_w);
         sw_bench::micro::run(&format!("dual_pool/{cpu_w}+{accel_w}"), n as u64, || {
             let sink = MetricsSink::new();
-            run_dual_pool(n, cfg, |_| 1, |_d, i| i as u64, &sink)
-                .iter()
-                .sum::<u64>()
+            run_dual_pool_durable(
+                n,
+                cfg,
+                &FaultInjector::none(),
+                DurableControl::none(),
+                |_| 1,
+                |_d, i| i as u64,
+                &sink,
+                &Tracer::disabled(),
+            )
+            .try_into_results()
+            .expect("clean run")
+            .iter()
+            .sum::<u64>()
         });
     }
 

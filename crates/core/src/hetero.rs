@@ -26,11 +26,11 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use sw_kernels::CellCount;
 use sw_sched::{
-    run_dual_pool_durable, run_dual_pool_traced, CheckpointView, DeviceMetrics, DrainSignal,
-    DualPoolConfig, DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
+    run_dual_pool_durable, CheckpointView, DeviceMetrics, DrainSignal, DualPoolConfig,
+    DurableControl, DurableOutcome, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
     DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
@@ -179,99 +179,18 @@ impl HeteroEngine {
         plan: &SplitPlan,
         config: &HeteroSearchConfig,
         injector: &FaultInjector,
-    ) -> Result<DynamicSearchOutcome, ExecError> {
-        assert!(!query.is_empty(), "query must not be empty");
-        if db.batches.is_empty() {
-            return Ok(DynamicSearchOutcome {
-                results: SearchResults::new(
-                    Vec::new(),
-                    std::time::Duration::ZERO,
-                    CellCount::default(),
-                    0,
-                ),
-                cpu: DeviceMetrics::default(),
-                accel: DeviceMetrics::default(),
-                boundary: 0,
-                accel_cell_fraction: 0.0,
-                degraded: [false, false],
-                timeline: None,
-            });
-        }
-        let qp = QueryProfile::build(query, &self.engine.params.matrix, &db.alphabet);
-        let block_rows = [
-            config.cpu.effective_block_rows(db.lanes),
-            config.accel.effective_block_rows(db.lanes),
-        ];
-        let device_config = [&config.cpu, &config.accel];
-        let m = query.len();
-        // An all-zero worker config would deadlock the queue; degrade it
-        // to a single CPU worker instead.
-        let mut cpu_workers = config.cpu.threads;
-        let accel_workers = config.accel.threads;
-        if cpu_workers + accel_workers == 0 {
-            cpu_workers = 1;
-        }
-        let sink = MetricsSink::new();
-        let tracer = config.trace.tracer();
-        let start = Instant::now();
-
-        let outcome = run_dual_pool_traced(
-            db.batches.len(),
-            DualPoolConfig {
-                cpu_workers,
-                accel_workers,
-                initial_accel_fraction: plan.accel_cell_fraction,
-                min_chunk: config.min_chunk,
-                accel_timeout_ms: config.recovery.accel_timeout_ms,
-                failure_budget: config.recovery.failure_budget,
-                retry_backoff_ms: config.recovery.retry_backoff_ms,
-                max_chunk_retries: config.recovery.max_chunk_retries,
-            },
+    ) -> Result<DynamicSearchOutcome, DurableSearchError> {
+        let durable = self.search_dynamic_resumable(
+            query,
+            db,
+            plan,
+            config,
             injector,
-            |bi| db.batches[bi].padded_cells(m),
-            |device, bi| {
-                let cfg = device_config[device];
-                let out =
-                    self.engine
-                        .run_batch(query, &qp, db, &db.batches[bi], cfg, block_rows[device]);
-                (device, out)
-            },
-            &sink,
-            &tracer,
+            &DurableOptions::default(),
         )?;
-        let elapsed = start.elapsed();
-        let timeline = tracer.is_enabled().then(|| tracer.timeline());
-
-        let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-        let mut cells = CellCount::default();
-        let mut rescued = 0u64;
-        let mut boundary = 0usize;
-        for (device, (batch_hits, batch_cells, batch_rescued)) in outcome.results {
-            if device == DEVICE_CPU {
-                boundary += 1;
-            }
-            hits.extend(batch_hits);
-            cells.add(batch_cells);
-            rescued += batch_rescued;
-        }
-        let cpu = sink.device(DEVICE_CPU);
-        let accel = sink.device(DEVICE_ACCEL);
-        let total_cells = cpu.cells + accel.cells;
-        let degraded = outcome.degraded;
-        Ok(DynamicSearchOutcome {
-            results: SearchResults::new(hits, elapsed, cells, rescued)
-                .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-            accel_cell_fraction: if total_cells == 0 {
-                0.0
-            } else {
-                accel.cells as f64 / total_cells as f64
-            },
-            cpu,
-            accel,
-            boundary,
-            degraded,
-            timeline,
-        })
+        Ok(durable
+            .outcome
+            .expect("a run without a drain signal completes or fails"))
     }
 
     /// [`Self::search_dynamic_supervised`] made **durable**: progress is
@@ -291,6 +210,8 @@ impl HeteroEngine {
     /// totals of all prior run segments, so retries/requeues/lost-lease
     /// counts reported by a resumed run are monotone across restarts.
     /// On completion the checkpoint file is deleted.
+    ///
+    /// This is a one-query region of [`Self::search_many_resumable`].
     pub fn search_dynamic_resumable(
         &self,
         query: &[u8],
@@ -300,270 +221,37 @@ impl HeteroEngine {
         injector: &FaultInjector,
         opts: &DurableOptions<'_>,
     ) -> Result<DurableSearchOutcome, DurableSearchError> {
-        assert!(!query.is_empty(), "query must not be empty");
-        type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
-        let fingerprint = SearchFingerprint::compute(db, query);
-        // Resolve the checkpoint file: an explicit path wins; a directory
-        // derives the name from the fingerprint so concurrent searches
-        // sharing the directory never clobber each other's tmp+rename.
-        let derived: Option<PathBuf> = match (opts.checkpoint_path, opts.checkpoint_dir) {
-            (Some(_), _) | (None, None) => None,
-            (None, Some(dir)) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-                Some(dir.join(fingerprint.file_name()))
-            }
+        let one = BatchQuery {
+            residues: query,
+            id: 0,
+            cancel: None,
+            tracer: None,
         };
-        let ckpt_path: Option<&Path> = opts.checkpoint_path.or(derived.as_deref());
-        if db.batches.is_empty() {
-            if let Some(path) = ckpt_path {
-                Checkpoint::remove(path).ok();
-            }
-            return Ok(DurableSearchOutcome {
-                outcome: Some(DynamicSearchOutcome {
-                    results: SearchResults::new(
-                        Vec::new(),
-                        std::time::Duration::ZERO,
-                        CellCount::default(),
-                        0,
-                    ),
-                    cpu: DeviceMetrics::default(),
-                    accel: DeviceMetrics::default(),
-                    boundary: 0,
-                    accel_cell_fraction: 0.0,
-                    degraded: [false, false],
-                    timeline: None,
-                }),
-                drained: false,
-                tasks_done: 0,
-                n_batches: 0,
-                resumed_tasks: 0,
-                resumes: 0,
-                checkpoints_written: 0,
-                checkpoint_write_failures: 0,
-                recovery: [RecoveryTotals::default(); 2],
-            });
-        }
-
-        // Load and verify a prior checkpoint, if resuming.
-        let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
-        let mut baseline = [RecoveryTotals::default(); 2];
-        let mut resumes = 0u64;
-        let mut next_seq = 0u64;
-        let mut initial_share = plan.accel_cell_fraction;
-        if opts.resume {
-            if let Some(path) = ckpt_path {
-                if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
-                    ckpt.verify(&fingerprint)?;
-                    resumes = ckpt.resumes + 1;
-                    next_seq = ckpt.seq + 1;
-                    baseline = ckpt.recovery;
-                    // Resume from the learned device balance, not the
-                    // static seed.
-                    initial_share = ckpt.accel_share;
-                    prefill = ckpt
-                        .done
-                        .into_iter()
-                        .map(|b| (b.batch, (b.device, (b.hits, b.cells, b.rescued))))
-                        .collect();
-                }
-            }
-        }
-        let resumed_tasks = prefill.len() as u64;
-
-        let qp = QueryProfile::build(query, &self.engine.params.matrix, &db.alphabet);
-        let block_rows = [
-            config.cpu.effective_block_rows(db.lanes),
-            config.accel.effective_block_rows(db.lanes),
-        ];
-        let device_config = [&config.cpu, &config.accel];
-        let m = query.len();
-        let mut cpu_workers = config.cpu.threads;
-        let accel_workers = config.accel.threads;
-        if cpu_workers + accel_workers == 0 {
-            cpu_workers = 1;
-        }
-        let sink = MetricsSink::new();
-        let tracer = config.trace.tracer();
-
-        let seq = AtomicU64::new(next_seq);
-        let writes = AtomicU64::new(0);
-        let write_failures = AtomicU64::new(0);
-        let make_checkpoint = |slots: &[Option<BatchOut>],
-                               accel_share: f64,
-                               recovery: [RecoveryTotals; 2]|
-         -> Checkpoint {
-            Checkpoint {
-                fingerprint,
-                seq: seq.fetch_add(1, Ordering::Relaxed),
-                resumes,
-                accel_share,
-                recovery,
-                done: slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| {
-                        s.as_ref()
-                            .map(|(device, (hits, cells, rescued))| BatchResult {
-                                batch: i,
-                                device: *device,
-                                hits: hits.clone(),
-                                cells: *cells,
-                                rescued: *rescued,
-                            })
-                    })
-                    .collect(),
-            }
-        };
-        // Mid-run recovery totals: requeues / lost leases / failures are
-        // recorded as they happen; per-worker retry counts only land at
-        // worker exit, so a *periodic* checkpoint may undercount retries
-        // (the final drain checkpoint, written after the pools exit, is
-        // exact). Monotonicity is preserved either way.
-        let cumulative_recovery = || {
-            [
-                baseline[DEVICE_CPU].plus(&sink.device(DEVICE_CPU)),
-                baseline[DEVICE_ACCEL].plus(&sink.device(DEVICE_ACCEL)),
-            ]
-        };
-        let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
-            let Some(path) = ckpt_path else {
-                return 0;
-            };
-            let ckpt = make_checkpoint(view.slots, view.accel_share, cumulative_recovery());
-            match ckpt.write_atomic(path) {
-                Ok(bytes) => {
-                    writes.fetch_add(1, Ordering::Relaxed);
-                    bytes
-                }
-                Err(_) => {
-                    // A failed periodic checkpoint must not kill the
-                    // search; the failure is counted and surfaced on the
-                    // outcome.
-                    write_failures.fetch_add(1, Ordering::Relaxed);
-                    0
-                }
-            }
-        };
-
-        let start = Instant::now();
-        let out = run_dual_pool_durable(
-            db.batches.len(),
-            DualPoolConfig {
-                cpu_workers,
-                accel_workers,
-                initial_accel_fraction: initial_share,
-                min_chunk: config.min_chunk,
-                accel_timeout_ms: config.recovery.accel_timeout_ms,
-                failure_budget: config.recovery.failure_budget,
-                retry_backoff_ms: config.recovery.retry_backoff_ms,
-                max_chunk_retries: config.recovery.max_chunk_retries,
-            },
-            injector,
-            DurableControl {
-                prefill,
-                drain: opts.drain,
-                checkpoint_every_chunks: if ckpt_path.is_some() {
-                    opts.interval_chunks
-                } else {
-                    0
-                },
-                on_checkpoint: Some(&on_checkpoint),
-                task_cancelled: None,
-            },
-            |bi| db.batches[bi].padded_cells(m),
-            |device, bi| {
-                let cfg = device_config[device];
-                let out =
-                    self.engine
-                        .run_batch(query, &qp, db, &db.batches[bi], cfg, block_rows[device]);
-                (device, out)
-            },
-            &sink,
-            &tracer,
-        );
-        let elapsed = start.elapsed();
-        let timeline = tracer.is_enabled().then(|| tracer.timeline());
-        let recovery = cumulative_recovery();
-        let tasks_done = out.tasks_done() as u64;
-        let n_batches = db.batches.len() as u64;
-
-        if out.drained {
-            // The final checkpoint is written *after* the pools exited,
-            // so it captures exact totals and every committed chunk. Its
-            // failure is a hard error: a drained run without its
-            // checkpoint cannot be resumed.
-            if let Some(path) = ckpt_path {
-                let cpu_m = sink.device(DEVICE_CPU);
-                let accel_m = sink.device(DEVICE_ACCEL);
-                let total = cpu_m.cells + accel_m.cells;
-                let share = if total == 0 {
-                    initial_share
-                } else {
-                    accel_m.cells as f64 / total as f64
-                };
-                make_checkpoint(&out.slots, share, recovery).write_atomic(path)?;
-                writes.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(DurableSearchOutcome {
-                outcome: None,
-                drained: true,
-                tasks_done,
-                n_batches,
-                resumed_tasks,
-                resumes,
-                checkpoints_written: writes.load(Ordering::Relaxed),
-                checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
-                recovery,
-            });
-        }
-
-        let degraded = out.degraded;
-        let results_vec = out.try_into_results().map_err(DurableSearchError::Exec)?;
-        let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-        let mut cells = CellCount::default();
-        let mut rescued = 0u64;
-        let mut boundary = 0usize;
-        for (device, (batch_hits, batch_cells, batch_rescued)) in results_vec {
-            if device == DEVICE_CPU {
-                boundary += 1;
-            }
-            hits.extend(batch_hits);
-            cells.add(batch_cells);
-            rescued += batch_rescued;
-        }
-        let cpu = sink.device(DEVICE_CPU);
-        let accel = sink.device(DEVICE_ACCEL);
-        let total_cells = cpu.cells + accel.cells;
-        if let Some(path) = ckpt_path {
-            // Best-effort cleanup: a stale checkpoint left behind is
-            // re-verified (and its batches skipped) on the next resume,
-            // never silently wrong.
-            Checkpoint::remove(path).ok();
-        }
+        let region = self.search_many_resumable(&[one], db, plan, config, injector, opts)?;
+        let q = region
+            .queries
+            .into_iter()
+            .next()
+            .expect("one query in, one outcome out");
         Ok(DurableSearchOutcome {
-            outcome: Some(DynamicSearchOutcome {
-                results: SearchResults::new(hits, elapsed, cells, rescued)
-                    .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-                accel_cell_fraction: if total_cells == 0 {
-                    0.0
-                } else {
-                    accel.cells as f64 / total_cells as f64
-                },
-                cpu,
-                accel,
-                boundary,
-                degraded,
-                timeline,
+            outcome: q.results.map(|results| DynamicSearchOutcome {
+                results,
+                cpu: region.cpu,
+                accel: region.accel,
+                boundary: q.boundary,
+                accel_cell_fraction: region.accel_cell_fraction,
+                degraded: region.degraded,
+                timeline: region.timeline,
             }),
-            drained: false,
-            tasks_done,
-            n_batches,
-            resumed_tasks,
-            resumes,
-            checkpoints_written: writes.load(Ordering::Relaxed),
-            checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
-            recovery,
+            // With no per-query cancel, an unfinished query was drained.
+            drained: q.cancelled,
+            tasks_done: q.tasks_done,
+            n_batches: db.batches.len() as u64,
+            resumed_tasks: q.resumed_tasks,
+            resumes: q.resumes,
+            checkpoints_written: region.checkpoints_written,
+            checkpoint_write_failures: region.checkpoint_write_failures,
+            recovery: q.recovery,
         })
     }
 }
@@ -605,6 +293,16 @@ pub struct BatchQueryOutcome {
     pub resumed_tasks: u64,
     /// Batches of this query with a committed result.
     pub tasks_done: u64,
+    /// Batches of this query whose committed result came from the CPU
+    /// pool. In a one-query region the pools meet here: batches
+    /// `0..boundary` ran on the CPU pool, `boundary..` on the accelerator.
+    pub boundary: usize,
+    /// Recovery totals per device (`[cpu, accel]`): this query's
+    /// checkpoint baseline plus the whole region's counters. Exact for a
+    /// one-query region; for N queries each member is charged every
+    /// region event, so the totals over-count but stay monotone across
+    /// resumes.
+    pub recovery: [RecoveryTotals; 2],
 }
 
 /// What one shared multi-query region produced.
@@ -616,6 +314,17 @@ pub struct BatchSearchOutcome {
     pub drained: bool,
     /// Per-device degraded flags for the shared region.
     pub degraded: [bool; 2],
+    /// Aggregated CPU-pool metrics of the region (tasks, chunks, busy,
+    /// queue-wait, cells, recovery counters).
+    pub cpu: DeviceMetrics,
+    /// Aggregated accelerator-pool metrics of the region.
+    pub accel: DeviceMetrics,
+    /// Fraction of the region's executed padded cells that landed on the
+    /// accelerator — the *emergent* split.
+    pub accel_cell_fraction: f64,
+    /// The region's drained event timeline — `Some` only when
+    /// `config.trace` enabled tracing.
+    pub timeline: Option<Timeline>,
     /// Checkpoints written across all queries (periodic + final).
     pub checkpoints_written: u64,
     /// Periodic checkpoint writes that failed (counted, never fatal).
@@ -625,10 +334,11 @@ pub struct BatchSearchOutcome {
 impl HeteroEngine {
     /// [`SearchEngine::search_many`]'s pooled product space, run through
     /// **one** durable dual-pool region — the cross-query batching core
-    /// of the daemon. Task `t` maps to `(query t / |batches|, batch
-    /// t % |batches|)`; both device pools pull from the one shared queue,
-    /// so short queries fill lanes the long queries' tail would leave
-    /// idle.
+    /// of the daemon, and the only place a dual-pool region is run: every
+    /// single-query dynamic search is a one-query call of this. Task `t`
+    /// maps to `(query t / |batches|, batch t % |batches|)`; both device
+    /// pools pull from the one shared queue, so short queries fill lanes
+    /// the long queries' tail would leave idle.
     ///
     /// Per-query semantics carried through the shared region:
     /// * **results** — each query's hit list is byte-identical to a solo
@@ -637,14 +347,17 @@ impl HeteroEngine {
     ///   remaining tasks without perturbing batch-mates; the region-level
     ///   `opts.drain` still stops everything (daemon shutdown).
     /// * **checkpoints** — per-query fingerprint-keyed files in
-    ///   `opts.checkpoint_dir` (an explicit `checkpoint_path` is ignored:
-    ///   it cannot name more than one query), written periodically while
-    ///   a query is incomplete, finalised exactly on cancel/drain, and
-    ///   removed on completion; resume prefills that query's committed
-    ///   batches.
+    ///   `opts.checkpoint_dir`, or the file `opts.checkpoint_path` names
+    ///   (one-query regions only: more queries are rejected), written
+    ///   periodically while a query is incomplete, finalised exactly on
+    ///   cancel/drain, and removed on completion; resume prefills that
+    ///   query's committed batches.
+    /// * **recovery** — each query reports its checkpoint baseline plus
+    ///   the region's counters ([`BatchQueryOutcome::recovery`]).
     /// * **trace** — each task additionally lands on its owner's
     ///   [`BatchQuery::tracer`] as a one-task span, so per-query exports
-    ///   stay separable; `config.trace` still traces the region itself.
+    ///   stay separable; `config.trace` traces the region itself into
+    ///   [`BatchSearchOutcome::timeline`].
     ///
     /// Errors are region-wide: a terminal task failure or an unreadable /
     /// unwritable checkpoint fails the whole call.
@@ -661,59 +374,74 @@ impl HeteroEngine {
             queries.iter().all(|q| !q.residues.is_empty()),
             "queries must not be empty"
         );
+        if opts.checkpoint_path.is_some() && queries.len() > 1 {
+            return Err(DurableSearchError::Checkpoint(CheckpointError::Io(
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "checkpoint_path names one query's file but the region has {} \
+                         queries; use checkpoint_dir",
+                        queries.len()
+                    ),
+                ),
+            )));
+        }
         type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
         let n_batches = db.batches.len();
-        let empty_results = || {
-            SearchResults::new(
-                Vec::new(),
-                std::time::Duration::ZERO,
-                CellCount::default(),
-                0,
-            )
-        };
+        let checkpointing = opts.checkpoint_path.is_some() || opts.checkpoint_dir.is_some();
         if n_batches == 0 || queries.is_empty() {
+            let empty = || SearchResults::new(Vec::new(), Duration::ZERO, CellCount::default(), 0);
             return Ok(BatchSearchOutcome {
                 queries: queries
                     .iter()
                     .map(|q| BatchQueryOutcome {
                         id: q.id,
-                        results: Some(empty_results()),
+                        results: Some(empty()),
                         cancelled: false,
                         resumes: 0,
                         resumed_tasks: 0,
                         tasks_done: 0,
+                        boundary: 0,
+                        recovery: [RecoveryTotals::default(); 2],
                     })
                     .collect(),
                 drained: false,
                 degraded: [false, false],
+                cpu: DeviceMetrics::default(),
+                accel: DeviceMetrics::default(),
+                accel_cell_fraction: 0.0,
+                timeline: None,
                 checkpoints_written: 0,
                 checkpoint_write_failures: 0,
             });
         }
 
-        // Per-query checkpoint identity. Only the fingerprint-keyed
-        // directory form works here — one explicit path cannot name N
-        // queries. With checkpointing off, no fingerprints: the db
-        // digest walks every resident residue, pure overhead a batch of
-        // short queries would pay N times for nothing.
-        let (fingerprints, ckpt_paths): (Vec<SearchFingerprint>, Vec<Option<PathBuf>>) =
-            match opts.checkpoint_dir {
-                None => (Vec::new(), vec![None; queries.len()]),
-                Some(dir) => {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-                    let db_digest = sw_swdb::snapshot::content_digest(db.sorted.db());
-                    let fps: Vec<SearchFingerprint> = queries
-                        .iter()
-                        .map(|q| SearchFingerprint::with_db_digest(db_digest, db, q.residues))
-                        .collect();
-                    let paths = fps
-                        .iter()
-                        .map(|fp| Some(dir.join(fp.file_name())))
-                        .collect();
-                    (fps, paths)
-                }
-            };
+        // Per-query checkpoint identity. With checkpointing off, no
+        // fingerprints: the db digest walks every resident residue, pure
+        // overhead a batch of short queries would pay N times for nothing.
+        let fingerprints: Vec<SearchFingerprint> = if checkpointing {
+            let db_digest = sw_swdb::snapshot::content_digest(db.sorted.db());
+            queries
+                .iter()
+                .map(|q| SearchFingerprint::with_db_digest(db_digest, db, q.residues))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // An explicit path wins; a directory derives each name from the
+        // fingerprint so concurrent searches sharing it never clobber
+        // each other's tmp+rename.
+        let ckpt_paths: Vec<Option<PathBuf>> = match (opts.checkpoint_path, opts.checkpoint_dir) {
+            (Some(path), _) => vec![Some(path.to_path_buf())],
+            (None, Some(dir)) => {
+                std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
+                fingerprints
+                    .iter()
+                    .map(|fp| Some(dir.join(fp.file_name())))
+                    .collect()
+            }
+            (None, None) => vec![None; queries.len()],
+        };
 
         // Load and verify each query's prior checkpoint, if resuming.
         let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
@@ -763,6 +491,8 @@ impl HeteroEngine {
             config.accel.effective_block_rows(db.lanes),
         ];
         let device_config = [&config.cpu, &config.accel];
+        // An all-zero worker config would deadlock the queue; degrade it
+        // to a single CPU worker instead.
         let mut cpu_workers = config.cpu.threads;
         let accel_workers = config.accel.threads;
         if cpu_workers + accel_workers == 0 {
@@ -770,37 +500,46 @@ impl HeteroEngine {
         }
         let sink = MetricsSink::new();
         let tracer = config.trace.tracer();
+        let region_metrics = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
+        let recovery = |qi: usize, region: &[DeviceMetrics; 2]| -> [RecoveryTotals; 2] {
+            std::array::from_fn(|d| baselines[qi][d].plus(&region[d]))
+        };
 
         let writes = AtomicU64::new(0);
         let write_failures = AtomicU64::new(0);
         // Build one query's checkpoint from its slice of the product
-        // space. Recovery totals stay at the query's loaded baseline —
-        // region-level recovery events cannot be attributed to one query.
-        let make_q_checkpoint = |qi: usize, slots_q: &[Option<BatchOut>], share: f64| Checkpoint {
-            fingerprint: fingerprints[qi],
-            seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
-            resumes: resumes_v[qi],
-            accel_share: share,
-            recovery: baselines[qi],
-            done: slots_q
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref()
-                        .map(|(device, (hits, cells, rescued))| BatchResult {
-                            batch: i,
-                            device: *device,
-                            hits: hits.clone(),
-                            cells: *cells,
-                            rescued: *rescued,
+        // space. Mid-run recovery totals may undercount retries (per-worker
+        // retry counts land at worker exit); the final checkpoint, written
+        // after the pools exit, is exact. Monotone either way.
+        let make_q_checkpoint =
+            |qi: usize, slots_q: &[Option<BatchOut>], share: f64, region: &[DeviceMetrics; 2]| {
+                Checkpoint {
+                    fingerprint: fingerprints[qi],
+                    seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
+                    resumes: resumes_v[qi],
+                    accel_share: share,
+                    recovery: recovery(qi, region),
+                    done: slots_q
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, s)| {
+                            s.as_ref()
+                                .map(|(device, (hits, cells, rescued))| BatchResult {
+                                    batch: i,
+                                    device: *device,
+                                    hits: hits.clone(),
+                                    cells: *cells,
+                                    rescued: *rescued,
+                                })
                         })
-                })
-                .collect(),
-        };
+                        .collect(),
+                }
+            };
         // A periodic tick checkpoints every query that is still
         // incomplete; complete queries keep their last file until the
         // region ends (it is removed with their results).
         let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
+            let region = region_metrics();
             let mut total = 0u64;
             for (qi, ckpt_path) in ckpt_paths.iter().enumerate() {
                 let Some(path) = ckpt_path else {
@@ -810,12 +549,14 @@ impl HeteroEngine {
                 if slots_q.iter().all(|s| s.is_some()) {
                     continue;
                 }
-                match make_q_checkpoint(qi, slots_q, view.accel_share).write_atomic(path) {
+                match make_q_checkpoint(qi, slots_q, view.accel_share, &region).write_atomic(path) {
                     Ok(bytes) => {
                         writes.fetch_add(1, Ordering::Relaxed);
                         total += bytes;
                     }
                     Err(_) => {
+                        // A failed periodic checkpoint must not kill the
+                        // search; it is counted and surfaced instead.
                         write_failures.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -840,7 +581,7 @@ impl HeteroEngine {
             DurableControl {
                 prefill,
                 drain: opts.drain,
-                checkpoint_every_chunks: if opts.checkpoint_dir.is_some() {
+                checkpoint_every_chunks: if checkpointing {
                     opts.interval_chunks
                 } else {
                     0
@@ -878,16 +619,27 @@ impl HeteroEngine {
             &tracer,
         );
         let elapsed = start.elapsed();
-        let degraded = out.degraded;
+        let timeline = tracer.is_enabled().then(|| tracer.timeline());
+        let DurableOutcome {
+            mut slots,
+            degraded,
+            drained,
+            failures,
+        } = out;
 
+        let region = region_metrics();
+        let [cpu, accel] = region;
+        let total_exec_cells = cpu.cells + accel.cells;
+        let accel_cell_fraction = if total_exec_cells == 0 {
+            0.0
+        } else {
+            accel.cells as f64 / total_exec_cells as f64
+        };
         // Region-learned share for final checkpoints.
-        let cpu_m = sink.device(DEVICE_CPU);
-        let accel_m = sink.device(DEVICE_ACCEL);
-        let total_exec_cells = cpu_m.cells + accel_m.cells;
         let final_share = if total_exec_cells == 0 {
             initial_share
         } else {
-            accel_m.cells as f64 / total_exec_cells as f64
+            accel_cell_fraction
         };
 
         // Pooled wall clock, attributed by padded-cell share (floor
@@ -905,12 +657,25 @@ impl HeteroEngine {
         let total_padded: u128 = per_q_padded.iter().sum();
 
         let mut outcomes = Vec::with_capacity(queries.len());
-        let mut incomplete_uncancelled = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
+        let mut missing: Vec<(usize, usize)> = Vec::new();
+        for (qi, (q, slots_q)) in queries.iter().zip(slots.chunks_mut(n_batches)).enumerate() {
             let tasks_done = slots_q.iter().filter(|s| s.is_some()).count() as u64;
-            let complete = tasks_done == n_batches as u64;
-            if complete {
+            let boundary = slots_q
+                .iter()
+                .flatten()
+                .filter(|(device, _)| *device == DEVICE_CPU)
+                .count();
+            let mut outcome = BatchQueryOutcome {
+                id: q.id,
+                results: None,
+                cancelled: false,
+                resumes: resumes_v[qi],
+                resumed_tasks: resumed_v[qi],
+                tasks_done,
+                boundary,
+                recovery: recovery(qi, &region),
+            };
+            if tasks_done == n_batches as u64 {
                 // A cancel that raced completion still yields the exact
                 // result; the checkpoint (if any) is spent.
                 if let Some(path) = &ckpt_paths[qi] {
@@ -919,91 +684,72 @@ impl HeteroEngine {
                 let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
                 let mut cells = CellCount::default();
                 let mut rescued = 0u64;
-                for s in slots_q.iter().flatten() {
-                    let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
-                    hits.extend(batch_hits.iter().copied());
-                    cells.add(*batch_cells);
+                for (_device, (batch_hits, batch_cells, batch_rescued)) in
+                    slots_q.iter_mut().filter_map(Option::take)
+                {
+                    hits.extend(batch_hits);
+                    cells.add(batch_cells);
                     rescued += batch_rescued;
                 }
                 let elapsed_q = (elapsed.as_nanos() * per_q_padded[qi])
                     .checked_div(total_padded)
-                    .map(|ns| std::time::Duration::from_nanos(ns as u64))
+                    .map(|ns| Duration::from_nanos(ns as u64))
                     .unwrap_or(elapsed);
-                outcomes.push(BatchQueryOutcome {
-                    id: q.id,
-                    results: Some(
-                        SearchResults::new(hits, elapsed_q, cells, rescued)
-                            .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-                    ),
-                    cancelled: false,
-                    resumes: resumes_v[qi],
-                    resumed_tasks: resumed_v[qi],
-                    tasks_done,
-                });
-                continue;
-            }
-            let cancelled = q.cancel.is_some_and(|c| c.is_requested()) || out.drained;
-            if cancelled {
+                outcome.results = Some(
+                    SearchResults::new(hits, elapsed_q, cells, rescued)
+                        .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
+                );
+            } else if q.cancel.is_some_and(|c| c.is_requested()) || drained {
                 // Final exact checkpoint: written after the pools exited,
                 // its failure is a hard error — a cancelled query without
                 // its checkpoint cannot be resumed.
                 if let Some(path) = &ckpt_paths[qi] {
-                    make_q_checkpoint(qi, slots_q, final_share).write_atomic(path)?;
+                    make_q_checkpoint(qi, slots_q, final_share, &region).write_atomic(path)?;
                     writes.fetch_add(1, Ordering::Relaxed);
                 }
-                outcomes.push(BatchQueryOutcome {
-                    id: q.id,
-                    results: None,
-                    cancelled: true,
-                    resumes: resumes_v[qi],
-                    resumed_tasks: resumed_v[qi],
-                    tasks_done,
-                });
-                continue;
-            }
-            // Incomplete with neither a cancel nor a drain: terminal
-            // execution failure.
-            for (bi, s) in slots_q.iter().enumerate() {
-                if s.is_none() {
+                outcome.cancelled = true;
+            } else {
+                // Incomplete with neither a cancel nor a drain: terminal
+                // execution failure.
+                for bi in (0..n_batches).filter(|&bi| slots_q[bi].is_none()) {
                     let t = qi * n_batches + bi;
-                    incomplete_uncancelled.push((t, t + 1));
+                    match missing.last_mut() {
+                        Some(last) if last.1 == t => last.1 = t + 1,
+                        _ => missing.push((t, t + 1)),
+                    }
                 }
             }
-            outcomes.push(BatchQueryOutcome {
-                id: q.id,
-                results: None,
-                cancelled: false,
-                resumes: resumes_v[qi],
-                resumed_tasks: resumed_v[qi],
-                tasks_done,
-            });
+            outcomes.push(outcome);
         }
-        if !incomplete_uncancelled.is_empty() {
-            return Err(DurableSearchError::Exec(ExecError {
-                failures: out.failures,
-                missing: incomplete_uncancelled,
-            }));
+        if !missing.is_empty() {
+            return Err(DurableSearchError::Exec(ExecError { failures, missing }));
         }
         Ok(BatchSearchOutcome {
             queries: outcomes,
-            drained: out.drained,
+            drained,
             degraded,
+            cpu,
+            accel,
+            accel_cell_fraction,
+            timeline,
             checkpoints_written: writes.load(Ordering::Relaxed),
             checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
         })
     }
 }
 
-/// Durability knobs for [`HeteroEngine::search_dynamic_resumable`].
+/// Durability knobs for [`HeteroEngine::search_many_resumable`] and its
+/// one-query form [`HeteroEngine::search_dynamic_resumable`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions<'a> {
-    /// Where the checkpoint lives. `None` with no `checkpoint_dir`
-    /// disables checkpointing (the run is then durable in name only —
-    /// drain still stops it gracefully, but nothing is persisted). An
-    /// explicit path takes precedence over `checkpoint_dir`, but note it
-    /// is shared mutable state: two concurrent searches given the same
-    /// path will clobber each other — concurrent callers must use
-    /// `checkpoint_dir`.
+    /// Where the checkpoint of a one-query region lives; a region of more
+    /// queries rejects it (one file cannot name N queries). `None` with
+    /// no `checkpoint_dir` disables checkpointing (the run is then
+    /// durable in name only — drain still stops it gracefully, but
+    /// nothing is persisted). An explicit path takes precedence over
+    /// `checkpoint_dir`, but note it is shared mutable state: two
+    /// concurrent searches given the same path will clobber each other —
+    /// concurrent callers must use `checkpoint_dir`.
     pub checkpoint_path: Option<&'a Path>,
     /// Directory to keep the checkpoint in, under a file name derived
     /// from the [`SearchFingerprint`]
@@ -1017,7 +763,7 @@ pub struct DurableOptions<'a> {
     pub interval_chunks: u64,
     /// Cooperative stop signal (SIGINT/SIGTERM in the CLI).
     pub drain: Option<&'a DrainSignal>,
-    /// Load `checkpoint_path` if it exists and skip its completed
+    /// Load each query's checkpoint if it exists and skip its completed
     /// batches.
     pub resume: bool,
 }

@@ -12,8 +12,8 @@
 
 use std::path::PathBuf;
 use sw_core::{
-    CheckpointError, DurableOptions, DurableSearchError, HeteroEngine, HeteroSearchConfig,
-    PreparedDb, SearchConfig, SearchEngine,
+    BatchQuery, CheckpointError, DurableOptions, DurableSearchError, HeteroEngine,
+    HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine,
 };
 use sw_sched::{DrainSignal, FaultInjector};
 use sw_seq::gen::{generate_database, generate_query, DbSpec};
@@ -528,4 +528,114 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
         "completed searches clean up their own checkpoints only"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn region_query(residues: &[u8], id: u64) -> BatchQuery<'_> {
+    BatchQuery {
+        residues,
+        id,
+        cancel: None,
+        tracer: None,
+    }
+}
+
+#[test]
+fn one_query_region_honours_explicit_checkpoint_path() {
+    // The region itself, not its single-query adapter: an explicit
+    // checkpoint path names the one query's file, a drain leaves exactly
+    // that file behind, and resuming from it reproduces the clean hits.
+    let (db, q) = setup();
+    let hetero = HeteroEngine::new(SearchEngine::paper_default());
+    let plan = hetero.plan_split(&db, q.len(), 0.5);
+    let cfg = HeteroSearchConfig::best(2, 2);
+    let reference = hetero.search_dynamic(&q, &db, &plan, &cfg);
+    let dir = std::env::temp_dir().join(format!("sw-region-path-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("one.ckpt");
+    let n = db.batches.len() as u64;
+
+    let drain = DrainSignal::after_tasks((n / 2).max(1));
+    let first = hetero
+        .search_many_resumable(
+            &[region_query(&q, 7)],
+            &db,
+            &plan,
+            &cfg,
+            &FaultInjector::none(),
+            &DurableOptions {
+                checkpoint_path: Some(&path),
+                checkpoint_dir: None,
+                interval_chunks: 1,
+                drain: Some(&drain),
+                resume: false,
+            },
+        )
+        .expect("drained region");
+    assert!(first.drained);
+    let only = &first.queries[0];
+    assert!(only.cancelled && only.results.is_none());
+    assert!(only.tasks_done < n, "the drain must leave work undone");
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("checkpoint dir")
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, vec!["one.ckpt"], "exactly the named file is written");
+
+    let resumed = hetero
+        .search_many_resumable(
+            &[region_query(&q, 7)],
+            &db,
+            &plan,
+            &cfg,
+            &FaultInjector::none(),
+            &DurableOptions {
+                checkpoint_path: Some(&path),
+                checkpoint_dir: None,
+                interval_chunks: 1,
+                drain: None,
+                resume: true,
+            },
+        )
+        .expect("resumed region");
+    let only = &resumed.queries[0];
+    assert_eq!(only.resumes, 1);
+    assert_eq!(only.resumed_tasks, first.queries[0].tasks_done);
+    let res = only.results.as_ref().expect("completed");
+    assert_eq!(res.hits, reference.results.hits, "resumed == clean");
+    assert_eq!(res.cells, reference.results.cells);
+    assert!(!path.exists(), "completion deletes the checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn multi_query_region_rejects_checkpoint_path() {
+    // One file cannot hold two queries' progress: the region refuses an
+    // explicit path instead of silently running without checkpoints.
+    let (db, q1) = setup();
+    let q2 = generate_query(80, 23).residues;
+    let hetero = HeteroEngine::new(SearchEngine::paper_default());
+    let plan = hetero.plan_split(&db, q1.len(), 0.5);
+    let path = ckpt_path("two-queries");
+    let err = hetero
+        .search_many_resumable(
+            &[region_query(&q1, 1), region_query(&q2, 2)],
+            &db,
+            &plan,
+            &HeteroSearchConfig::best(2, 2),
+            &FaultInjector::none(),
+            &DurableOptions {
+                checkpoint_path: Some(&path),
+                interval_chunks: 1,
+                ..DurableOptions::default()
+            },
+        )
+        .expect_err("a two-query region must reject checkpoint_path");
+    match err {
+        DurableSearchError::Checkpoint(CheckpointError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        }
+        other => panic!("expected an invalid-input rejection, got: {other}"),
+    }
+    assert!(!path.exists(), "a rejected region writes nothing");
 }

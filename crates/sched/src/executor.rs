@@ -10,8 +10,8 @@
 //!   order. A panicking task no longer poisons the result slots: the
 //!   panic is captured per task and surfaced as a structured
 //!   [`ExecError`] naming the failed task indices.
-//! * [`run_dual_pool`] / [`run_dual_pool_supervised`] — the heterogeneous
-//!   executor: two device worker pools (CPU share and accelerator share)
+//! * [`run_dual_pool_durable`] — the heterogeneous executor, one entry
+//!   point: two device worker pools (CPU share and accelerator share)
 //!   pull lane batches from the two ends of one shared work queue, with
 //!   an adaptive feedback estimator re-balancing the remaining queue from
 //!   observed per-device throughput. Every claimed chunk is covered by a
@@ -20,7 +20,10 @@
 //!   wedges is reclaimed after `accel_timeout_ms`, and a pool that
 //!   exhausts its failure budget is retired so the run *degrades* to the
 //!   other pool instead of hanging or crashing. Per-worker metrics and
-//!   recovery events are recorded through a [`MetricsSink`].
+//!   recovery events are recorded through a [`MetricsSink`]. Its
+//!   [`DurableControl`] hooks (resume prefill, drain, checkpoints,
+//!   per-task cancel) are all off in [`DurableControl::none`], the plain
+//!   run.
 //!
 //! Built on std scoped threads + atomics rather than a work-stealing pool
 //! so the *policy* is exactly the one being studied — a generic pool
@@ -394,24 +397,6 @@ where
         .unwrap_or_else(|e| panic!("parallel execution failed: {e}"))
 }
 
-/// Run `task(i)` for every `i in 0..n_tasks` on a self-scheduling thread
-/// pool (atomic-counter work pulling), returning results in task order.
-///
-/// This is the policy-agnostic data-parallel path for callers that do not
-/// need a *specific* OpenMP schedule — free workers pull single tasks,
-/// which behaves like dynamic scheduling with the finest grain. (It
-/// replaces an earlier rayon-based path; the dependency budget is now
-/// zero external crates.) The policy-faithful executor above remains the
-/// one used for the paper's scheduling experiments.
-pub fn run_work_stealing<T, F>(n_tasks: usize, workers: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(workers >= 1, "need at least one worker");
-    run_parallel(n_tasks, ExecutorConfig::dynamic(workers), task)
-}
-
 /// Configuration of the dual-pool heterogeneous executor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DualPoolConfig {
@@ -483,16 +468,6 @@ struct DeviceProgress {
     busy_nanos: AtomicU64,
 }
 
-/// Result of a supervised dual-pool run.
-#[derive(Debug)]
-pub struct DualPoolOutcome<T> {
-    /// Task results in task order.
-    pub results: Vec<T>,
-    /// Whether each device pool (`[cpu, accel]`) was retired before the
-    /// queue drained — the run *degraded* to the surviving pool.
-    pub degraded: [bool; 2],
-}
-
 /// Consistent view of a run's progress handed to the checkpoint
 /// callback. The slot table is observed under its lock, so every chunk
 /// is either fully present or fully absent — a checkpoint can never see
@@ -509,12 +484,12 @@ pub struct CheckpointView<'v, T> {
 }
 
 /// Durability hooks for [`run_dual_pool_durable`]: resume prefill, a
-/// drain signal, and a periodic checkpoint callback.
+/// drain signal, a periodic checkpoint callback and a per-task cancel
+/// probe.
 ///
-/// The default value ([`DurableControl::none`]) disables all three, which
-/// makes the durable executor behave exactly like
-/// [`run_dual_pool_traced`] (the traced entry point is now a thin wrapper
-/// over it).
+/// The default value ([`DurableControl::none`]) disables all of them: a
+/// plain run whose [`DurableOutcome::try_into_results`] is either every
+/// result or a structured [`ExecError`].
 pub struct DurableControl<'a, T> {
     /// Task results a checkpoint already holds: `(task index, result)`.
     /// Prefilled indices are skipped by the workers (no execution, no
@@ -563,10 +538,10 @@ impl<T> Default for DurableControl<'_, T> {
     }
 }
 
-/// Result of a durable dual-pool run. Unlike [`DualPoolOutcome`] this is
-/// returned even when tasks are left unexecuted — a drained run is a
-/// *successful partial* run, and the caller decides whether holes are an
-/// error (they are, when not drained).
+/// Result of a durable dual-pool run. It is returned even when tasks are
+/// left unexecuted — a drained run is a *successful partial* run, and the
+/// caller decides whether holes are an error (they are, when not
+/// drained).
 #[derive(Debug)]
 pub struct DurableOutcome<T> {
     /// Result slots in task order; `None` = never executed (drained away,
@@ -587,9 +562,8 @@ impl<T> DurableOutcome<T> {
     }
 
     /// Results in task order, or the structured [`ExecError`] naming the
-    /// failed and unexecuted tasks. For a *completed* run this is the
-    /// conversion to [`DualPoolOutcome`] semantics; a drained run with
-    /// holes returns `Err`, so only call it when `!drained`.
+    /// failed and unexecuted tasks. A drained run with holes returns
+    /// `Err`, so only call it when `!drained`.
     pub fn try_into_results(self) -> Result<Vec<T>, ExecError> {
         match slots_into_results(self.slots) {
             Ok(results) => Ok(results),
@@ -894,9 +868,10 @@ impl<'a> Supervisor<'a> {
 
 /// Run `task(device, i)` for every `i in 0..n_tasks` on two device worker
 /// pools pulling from one shared double-ended queue, with fault injection
-/// and lease-based recovery. Returns results in task order plus per-pool
-/// degradation flags, or a structured [`ExecError`] when tasks failed
-/// terminally or every pool died with work outstanding.
+/// and lease-based recovery — the one dual-pool entry point. Returns the
+/// result slots in task order plus per-pool degradation flags; tasks that
+/// failed terminally, or were left when every pool died, stay `None` and
+/// are named by [`DurableOutcome::try_into_results`]'s [`ExecError`].
 ///
 /// The CPU pool (device [`DEVICE_CPU`]) consumes from the front of the
 /// queue, the accelerator pool ([`DEVICE_ACCEL`]) from the back — with a
@@ -943,9 +918,10 @@ impl<'a> Supervisor<'a> {
 ///   [`CheckpointView`] (slot lock held, so checkpoints are whole-chunk
 ///   atomic) and emits `checkpoint_written`.
 ///
-/// Unlike [`run_dual_pool_traced`] this returns the raw slot table:
-/// unexecuted tasks are `None`, and deciding whether holes are an error
-/// is the caller's job (a drained run legitimately has them).
+/// The outcome is the raw slot table: unexecuted tasks are `None`, and
+/// deciding whether holes are an error is the caller's job (a drained
+/// run legitimately has them; [`DurableOutcome::try_into_results`] is
+/// the answer for a run without a drain).
 ///
 /// # Panics
 /// Panics when both pools are empty, when `initial_accel_fraction` is
@@ -1250,106 +1226,6 @@ where
     }
 }
 
-/// [`run_dual_pool_durable`] with the durability hooks disabled: a
-/// complete run or a structured [`ExecError`]. This is the entry point
-/// for non-resumable searches.
-///
-/// # Panics
-/// Panics when both pools are empty or when `initial_accel_fraction` is
-/// NaN or outside `[0, 1]`.
-pub fn run_dual_pool_traced<T, F, C>(
-    n_tasks: usize,
-    config: DualPoolConfig,
-    injector: &FaultInjector,
-    cost: C,
-    task: F,
-    sink: &MetricsSink,
-    tracer: &Tracer,
-) -> Result<DualPoolOutcome<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(usize) -> u64 + Sync,
-{
-    let out = run_dual_pool_durable(
-        n_tasks,
-        config,
-        injector,
-        DurableControl::none(),
-        cost,
-        task,
-        sink,
-        tracer,
-    );
-    match slots_into_results(out.slots) {
-        Ok(results) => Ok(DualPoolOutcome {
-            results,
-            degraded: out.degraded,
-        }),
-        Err(missing) => Err(ExecError {
-            failures: out.failures,
-            missing,
-        }),
-    }
-}
-
-/// [`run_dual_pool_traced`] without tracing — the pre-observability
-/// entry point, kept for callers that don't collect a timeline.
-///
-/// # Panics
-/// Panics when both pools are empty or when `initial_accel_fraction` is
-/// NaN or outside `[0, 1]`.
-pub fn run_dual_pool_supervised<T, F, C>(
-    n_tasks: usize,
-    config: DualPoolConfig,
-    injector: &FaultInjector,
-    cost: C,
-    task: F,
-    sink: &MetricsSink,
-) -> Result<DualPoolOutcome<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(usize) -> u64 + Sync,
-{
-    run_dual_pool_traced(
-        n_tasks,
-        config,
-        injector,
-        cost,
-        task,
-        sink,
-        &Tracer::disabled(),
-    )
-}
-
-/// Run `task(device, i)` for every `i in 0..n_tasks` on two device worker
-/// pools, returning results in task order.
-///
-/// Infallible, fault-free wrapper over [`run_dual_pool_supervised`].
-///
-/// # Panics
-/// Panics when both pools are empty, when `initial_accel_fraction` is NaN
-/// or outside `[0, 1]`, or with the structured failure summary when tasks
-/// failed terminally.
-pub fn run_dual_pool<T, F, C>(
-    n_tasks: usize,
-    config: DualPoolConfig,
-    cost: C,
-    task: F,
-    sink: &MetricsSink,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(usize) -> u64 + Sync,
-{
-    match run_dual_pool_supervised(n_tasks, config, &FaultInjector::none(), cost, task, sink) {
-        Ok(outcome) => outcome.results,
-        Err(e) => panic!("dual-pool execution failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1438,20 +1314,6 @@ mod tests {
         let cfg = ExecutorConfig::dynamic(16);
         let out = run_parallel(3, cfg, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn work_stealing_path_matches_policy_executor() {
-        let via_pool = run_work_stealing(200, 3, |i| i * 3);
-        let via_policy = run_parallel(200, ExecutorConfig::dynamic(3), |i| i * 3);
-        assert_eq!(via_pool, via_policy);
-    }
-
-    #[test]
-    fn work_stealing_empty_and_single() {
-        let empty: Vec<usize> = run_work_stealing(0, 2, |i| i);
-        assert!(empty.is_empty());
-        assert_eq!(run_work_stealing(4, 1, |i| i + 1), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -1549,13 +1411,15 @@ mod tests {
     #[test]
     fn dual_pool_results_in_task_order() {
         let sink = MetricsSink::new();
-        let out = run_dual_pool(
+        let out = run(
             200,
             DualPoolConfig::new(3, 2),
-            |_| 1,
+            &FaultInjector::none(),
             |_device, i| i * 2,
             &sink,
-        );
+        )
+        .try_into_results()
+        .expect("clean run");
         assert_eq!(out, (0..200).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -1563,16 +1427,18 @@ mod tests {
     fn dual_pool_every_task_exactly_once() {
         let counter = AtomicU64::new(0);
         let sink = MetricsSink::new();
-        let out = run_dual_pool(
+        let out = run(
             977,
             DualPoolConfig::new(4, 4),
-            |_| 1,
+            &FaultInjector::none(),
             |_d, i| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 i
             },
             &sink,
-        );
+        )
+        .try_into_results()
+        .expect("clean run");
         assert_eq!(counter.load(Ordering::Relaxed), 977);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
         // Metrics conservation: the pools together did all the work.
@@ -1586,10 +1452,10 @@ mod tests {
         // below device 1's (the pools meet at one boundary).
         let owners: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(u64::MAX)).collect();
         let sink = MetricsSink::new();
-        run_dual_pool(
+        run(
             300,
             DualPoolConfig::new(2, 2),
-            |_| 1,
+            &FaultInjector::none(),
             |device, i| owners[i].store(device as u64, Ordering::Relaxed),
             &sink,
         );
@@ -1608,40 +1474,67 @@ mod tests {
     #[test]
     fn dual_pool_single_sided_pools() {
         let sink = MetricsSink::new();
-        let out = run_dual_pool(50, DualPoolConfig::new(2, 0), |_| 1, |_d, i| i, &sink);
-        assert_eq!(out.len(), 50);
+        let out = run(
+            50,
+            DualPoolConfig::new(2, 0),
+            &FaultInjector::none(),
+            |_d, i| i,
+            &sink,
+        );
+        assert_eq!(out.tasks_done(), 50);
         assert_eq!(sink.device(DEVICE_CPU).tasks, 50);
         assert_eq!(sink.device(DEVICE_ACCEL).tasks, 0);
 
         let sink2 = MetricsSink::new();
-        let out2 = run_dual_pool(50, DualPoolConfig::new(0, 3), |_| 1, |_d, i| i, &sink2);
-        assert_eq!(out2.len(), 50);
+        let out2 = run(
+            50,
+            DualPoolConfig::new(0, 3),
+            &FaultInjector::none(),
+            |_d, i| i,
+            &sink2,
+        );
+        assert_eq!(out2.tasks_done(), 50);
         assert_eq!(sink2.device(DEVICE_ACCEL).tasks, 50);
     }
 
     #[test]
     fn dual_pool_empty_loop() {
         let sink = MetricsSink::new();
-        let out: Vec<usize> = run_dual_pool(0, DualPoolConfig::new(2, 2), |_| 1, |_d, i| i, &sink);
-        assert!(out.is_empty());
+        let out = run(
+            0,
+            DualPoolConfig::new(2, 2),
+            &FaultInjector::none(),
+            |_d, i| i,
+            &sink,
+        );
+        assert!(out.slots.is_empty());
     }
 
     #[test]
     fn dual_pool_more_workers_than_tasks() {
         let sink = MetricsSink::new();
-        let out = run_dual_pool(3, DualPoolConfig::new(8, 8), |_| 1, |_d, i| i, &sink);
-        assert_eq!(out, vec![0, 1, 2]);
+        let out = run(
+            3,
+            DualPoolConfig::new(8, 8),
+            &FaultInjector::none(),
+            |_d, i| i,
+            &sink,
+        );
+        assert_eq!(out.try_into_results().expect("clean run"), vec![0, 1, 2]);
     }
 
     #[test]
     fn dual_pool_metrics_cells_accounted() {
         let sink = MetricsSink::new();
-        run_dual_pool(
+        run_dual_pool_durable(
             100,
             DualPoolConfig::new(2, 2),
+            &FaultInjector::none(),
+            DurableControl::none(),
             |i| i as u64,
             |_d, i| i,
             &sink,
+            &Tracer::disabled(),
         );
         let cells: u64 = sink.devices().iter().map(|d| d.cells).sum();
         assert_eq!(cells, (0..100u64).sum::<u64>());
@@ -1659,14 +1552,41 @@ mod tests {
             initial_accel_fraction: f64::NAN,
             ..DualPoolConfig::new(1, 1)
         };
-        run_dual_pool(10, cfg, |_| 1, |_d, i| i, &sink);
+        run(10, cfg, &FaultInjector::none(), |_d, i| i, &sink);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn dual_pool_rejects_empty_pools() {
         let sink = MetricsSink::new();
-        run_dual_pool(10, DualPoolConfig::new(0, 0), |_| 1, |_d, i| i, &sink);
+        run(
+            10,
+            DualPoolConfig::new(0, 0),
+            &FaultInjector::none(),
+            |_d, i| i,
+            &sink,
+        );
+    }
+
+    /// The plain dual-pool call: unit task costs, no durability hooks,
+    /// no tracer.
+    fn run<T: Send>(
+        n_tasks: usize,
+        config: DualPoolConfig,
+        injector: &FaultInjector,
+        task: impl Fn(usize, usize) -> T + Sync,
+        sink: &MetricsSink,
+    ) -> DurableOutcome<T> {
+        run_dual_pool_durable(
+            n_tasks,
+            config,
+            injector,
+            DurableControl::none(),
+            |_| 1,
+            task,
+            sink,
+            &Tracer::disabled(),
+        )
     }
 
     fn injected(kind: FaultKind, chunk: u64) -> FaultInjector {
@@ -1693,20 +1613,22 @@ mod tests {
     fn dual_pool_injected_kill_recovers() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Kill, 0);
-        let out = run_dual_pool_supervised(
+        let out = run(
             200,
             DualPoolConfig::new(2, 2),
             &inj,
-            |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
                 i * 3
             },
             &sink,
-        )
-        .expect("kill of one worker must be recovered");
-        assert_eq!(out.results, (0..200).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(out.degraded, [false, false], "one kill is under budget");
+        );
+        let degraded = out.degraded;
+        let results = out
+            .try_into_results()
+            .expect("kill of one worker must be recovered");
+        assert_eq!(results, (0..200).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(degraded, [false, false], "one kill is under budget");
         let accel = sink.device(DEVICE_ACCEL);
         assert_eq!(accel.failures, 1);
         assert_eq!(accel.requeues, 1);
@@ -1721,21 +1643,23 @@ mod tests {
         // A single accel worker so the pool's first chunk is the trigger:
         // no second accel worker can race a chunk to completion before
         // the pool-dead flag is set.
-        let out = run_dual_pool_supervised(
+        let out = run(
             300,
             DualPoolConfig::new(2, 1),
             &inj,
-            |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
                 i + 7
             },
             &sink,
-        )
-        .expect("CPU pool must absorb the dead accelerator's share");
-        assert_eq!(out.results, (0..300).map(|i| i + 7).collect::<Vec<_>>());
-        assert!(out.degraded[DEVICE_ACCEL], "accel pool was retired");
-        assert!(!out.degraded[DEVICE_CPU]);
+        );
+        let degraded = out.degraded;
+        let results = out
+            .try_into_results()
+            .expect("CPU pool must absorb the dead accelerator's share");
+        assert_eq!(results, (0..300).map(|i| i + 7).collect::<Vec<_>>());
+        assert!(degraded[DEVICE_ACCEL], "accel pool was retired");
+        assert!(!degraded[DEVICE_CPU]);
         let accel = sink.device(DEVICE_ACCEL);
         assert!(accel.degraded);
         assert!(accel.requeues >= 1, "the killed chunk was requeued");
@@ -1750,42 +1674,45 @@ mod tests {
             accel_timeout_ms: Some(40),
             ..DualPoolConfig::new(2, 1)
         };
-        let out = run_dual_pool_supervised(
+        let out = run(
             120,
             cfg,
             &inj,
-            |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
                 i
             },
             &sink,
-        )
-        .expect("wedged chunk must be reclaimed and re-executed");
-        assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
+        );
+        let degraded = out.degraded;
+        let results = out
+            .try_into_results()
+            .expect("wedged chunk must be reclaimed and re-executed");
+        assert!(results.iter().enumerate().all(|(i, &v)| v == i));
         let accel = sink.device(DEVICE_ACCEL);
         assert_eq!(accel.lost_leases, 1, "exactly one lease reclaimed");
         assert_eq!(accel.failures, 1);
-        assert!(!out.degraded[DEVICE_ACCEL], "one timeout is under budget");
+        assert!(!degraded[DEVICE_ACCEL], "one timeout is under budget");
     }
 
     #[test]
     fn dual_pool_wedge_without_timeout_degenerates_to_kill() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Wedge, 0);
-        let out = run_dual_pool_supervised(
+        let out = run(
             80,
             DualPoolConfig::new(2, 1),
             &inj,
-            |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
                 i
             },
             &sink,
-        )
-        .expect("wedge without a timeout must behave like a kill");
-        assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
+        );
+        let results = out
+            .try_into_results()
+            .expect("wedge without a timeout must behave like a kill");
+        assert!(results.iter().enumerate().all(|(i, &v)| v == i));
         let accel = sink.device(DEVICE_ACCEL);
         assert_eq!(accel.failures, 1);
         assert_eq!(accel.lost_leases, 0, "no lease reclaim happened");
@@ -1795,23 +1722,23 @@ mod tests {
     fn dual_pool_delay_fault_only_slows() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Delay(Duration::from_millis(5)), 0);
-        let out = run_dual_pool_supervised(
+        let out = run(
             60,
             DualPoolConfig::new(2, 1),
             &inj,
-            |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
                 i
             },
             &sink,
-        )
-        .expect("a delay is not a failure");
-        assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
+        );
+        let degraded = out.degraded;
+        let results = out.try_into_results().expect("a delay is not a failure");
+        assert!(results.iter().enumerate().all(|(i, &v)| v == i));
         let accel = sink.device(DEVICE_ACCEL);
         assert_eq!(accel.failures, 0);
         assert_eq!(accel.requeues, 0);
-        assert_eq!(out.degraded, [false, false]);
+        assert_eq!(degraded, [false, false]);
     }
 
     #[test]
@@ -1825,11 +1752,10 @@ mod tests {
             retry_backoff_ms: 0,
             ..DualPoolConfig::new(1, 0)
         };
-        let err = run_dual_pool_supervised(
+        let err = run(
             40,
             cfg,
             &FaultInjector::none(),
-            |_| 1,
             |_d, i| {
                 if i == 13 {
                     panic!("task 13 always fails");
@@ -1838,6 +1764,7 @@ mod tests {
             },
             &sink,
         )
+        .try_into_results()
         .unwrap_err();
         assert_eq!(err.missing, vec![(13, 14)], "only task 13 is missing");
         assert_eq!(err.failures.len(), 1);
@@ -1853,10 +1780,11 @@ mod tests {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Kill, 0);
         let tracer = Tracer::full();
-        let out = run_dual_pool_traced(
+        let out = run_dual_pool_durable(
             200,
             DualPoolConfig::new(2, 2),
             &inj,
+            DurableControl::none(),
             |_| 1,
             |d, i| {
                 gate_cpu_on(&inj, d);
@@ -1864,9 +1792,9 @@ mod tests {
             },
             &sink,
             &tracer,
-        )
-        .expect("kill must be recovered");
-        assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
+        );
+        let results = out.try_into_results().expect("kill must be recovered");
+        assert!(results.iter().enumerate().all(|(i, &v)| v == i));
         let tl = tracer.timeline();
         // Workers that never claimed work flush nothing, so the track
         // count is at most one per worker — but both pools must appear:
@@ -1916,17 +1844,17 @@ mod tests {
     fn untraced_run_produces_no_timeline() {
         let sink = MetricsSink::new();
         let tracer = Tracer::disabled();
-        let out = run_dual_pool_traced(
+        let out = run_dual_pool_durable(
             64,
             DualPoolConfig::new(2, 1),
             &FaultInjector::none(),
+            DurableControl::none(),
             |_| 1,
             |_d, i| i,
             &sink,
             &tracer,
-        )
-        .expect("clean run");
-        assert_eq!(out.results.len(), 64);
+        );
+        assert_eq!(out.try_into_results().expect("clean run").len(), 64);
         assert_eq!(tracer.timeline().total_events(), 0);
     }
 
@@ -2143,17 +2071,16 @@ mod tests {
         );
         assert!(!out_a.drained);
         let a: Vec<usize> = out_a.slots.into_iter().map(Option::unwrap).collect();
-        let sink_b = MetricsSink::new();
-        let out_b = run_dual_pool_supervised(
+        let b = run(
             150,
             DualPoolConfig::new(2, 2),
             &FaultInjector::none(),
-            |_| 1,
             |_d, i| i * 3,
-            &sink_b,
+            &MetricsSink::new(),
         )
+        .try_into_results()
         .expect("clean run");
-        assert_eq!(a, out_b.results);
+        assert_eq!(a, b, "raw slots and try_into_results agree");
     }
 
     #[test]
@@ -2205,10 +2132,11 @@ mod tests {
                 accel_timeout_ms: Some(200),
                 ..DualPoolConfig::new(2, 2)
             };
-            let out = run_dual_pool_supervised(150, cfg, &inj, |_| 1, |_d, i| i * 5, &sink)
+            let results = run(150, cfg, &inj, |_d, i| i * 5, &sink)
+                .try_into_results()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(
-                out.results,
+                results,
                 (0..150).map(|i| i * 5).collect::<Vec<_>>(),
                 "seed {seed}"
             );
